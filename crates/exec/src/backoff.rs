@@ -1,5 +1,4 @@
-//! Spin-then-park backoff: the waiting discipline of the lock-free queue
-//! layer.
+//! Spin-then-park backoff: the waiting discipline of the SPSC ring.
 //!
 //! A lock-free ring has no condvar to sleep on, so a blocked side must
 //! decide how to wait. The classic ladder (FastFlow, crossbeam) is
@@ -39,7 +38,7 @@ const YIELD_LIMIT: u32 = 4;
 /// exponentially growing spin (or yields), and returns `true` once the
 /// caller should stop burning CPU and park on its `ParkSlot`.
 #[derive(Debug)]
-pub struct Backoff {
+pub(crate) struct Backoff {
     step: u32,
     spin_limit: u32,
 }
@@ -47,7 +46,7 @@ pub struct Backoff {
 impl Backoff {
     /// A fresh ladder, sized to the host: multi-core hosts spin first,
     /// a 1-core host goes straight to yielding.
-    pub fn new() -> Backoff {
+    pub(crate) fn new() -> Backoff {
         Backoff {
             step: 0,
             spin_limit: if host_threads() > 1 { SPIN_LIMIT } else { 0 },
@@ -55,13 +54,13 @@ impl Backoff {
     }
 
     /// Back to the bottom of the ladder (call after real progress).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.step = 0;
     }
 
     /// One failed attempt: spin or yield, returning `true` when the ladder
     /// is exhausted and the caller should park instead.
-    pub fn snooze(&mut self) -> bool {
+    pub(crate) fn snooze(&mut self) -> bool {
         if self.step < self.spin_limit {
             for _ in 0..(1u32 << self.step) {
                 std::hint::spin_loop();
@@ -75,12 +74,6 @@ impl Backoff {
         } else {
             true
         }
-    }
-}
-
-impl Default for Backoff {
-    fn default() -> Backoff {
-        Backoff::new()
     }
 }
 

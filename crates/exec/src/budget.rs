@@ -8,7 +8,7 @@
 //! ([`ThreadBudget::try_claim`]) and to which the lease returns its
 //! capacity on drop. Nothing here spawns or parks threads; the budget only
 //! *accounts* — enforcement is the consumer's business (a streaming graph
-//! caps its farm width gates at its lease, a scheduler recomputes shares
+//! caps its farm widths at its lease, a scheduler recomputes shares
 //! from `total` and `in_use`).
 //!
 //! Claims are best-effort and non-blocking: a claim asks for a preferred
@@ -21,8 +21,8 @@
 //! The total itself is mutable at runtime ([`ThreadBudget::resize`]): an
 //! autonomic manager narrowing a service's host footprint shrinks the
 //! budget, and the contraction takes effect *as leases return* — capacity
-//! already out on leases is never revoked (replicas parked on width gates
-//! would otherwise deadlock mid-item). While `in_use > total` the budget
+//! already out on leases is never revoked (replicas already working
+//! would otherwise be cut off mid-item). While `in_use > total` the budget
 //! is **over-committed**: `available()` reads 0, every claim is refused,
 //! and the overshoot drains as leases drop. The introspection gauges —
 //! [`ThreadBudget::outstanding`], [`ThreadBudget::peak_in_use`],

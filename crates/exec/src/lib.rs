@@ -30,34 +30,18 @@
 //!   `partition` scatter) when the cost model says the payload justifies
 //!   fanning out.
 //!
-//! For *streaming* execution (the `scl-stream` crate) two queue families
-//! live here, behind one trait face:
-//!
-//! * the **lock-free fast path** — a cache-padded SPSC ring
-//!   ([`ring`], [`spsc`]) and its MPMC composition into per-producer /
-//!   per-consumer lane matrices ([`ring_mpmc`], [`mpmc`]), with
-//!   spin-then-park waiting ([`Backoff`], [`backoff`]): stage-to-stage
-//!   links whose hot path takes no lock and whose idle path costs
-//!   nothing;
-//! * [`Bounded`] — the mutex+condvar MPMC fallback with a depth gauge
-//!   and a close protocol, for links whose topology or capacity split
-//!   doesn't fit the rings;
-//! * [`LinkTx`] / [`LinkRx`] ([`link`]) — the common face, so pumps and
-//!   replica loops are written once over either family;
-//! * [`spawn_stage_workers`] — long-lived pipeline-stage workers on a
-//!   [`ThreadPool`], each looping `take → work → emit` over a shared
-//!   [`Bounded`] input, gated by an atomic width so an autonomic
-//!   controller can widen/narrow a farm without spawning threads — and
-//!   [`spawn_farm_workers`], the lock-free counterpart where each
-//!   replica owns a private ring pair and admission control lives in the
-//!   pump's routing;
-//! * [`StealRange`] ([`deque`]) — the per-worker stealing deques under
-//!   [`par_pipeline`]'s dispatch.
+//! For *streaming* execution (the `scl-stream` crate) this crate ships
+//! one transport: a cache-padded, lock-free SPSC ring ([`ring`],
+//! [`spsc`]) with spin-then-park waiting. A farm gives each replica a
+//! private ring in and a private ring out, so every link has exactly one
+//! producer and one consumer and the replica loop takes no lock.
+//! [`StealRange`] ([`deque`]) holds the per-worker stealing deques under
+//! [`par_pipeline`]'s dispatch.
 //!
 //! When several such runtimes share one process — a multi-tenant plan
 //! service running many graphs against one machine — [`ThreadBudget`]
 //! accounts for the host-wide thread capacity: consumers claim
-//! [`BudgetLease`]s and cap their width gates at the grant, keeping the
+//! [`BudgetLease`]s and cap their farm widths at the grant, keeping the
 //! sum of *active* replicas across all tenants within the host budget
 //! whenever capacity is claimable. The budget accounts rather than
 //! enforces: a consumer that chooses to run after an empty grant (as a
@@ -71,28 +55,19 @@
 //! pin the CI matrix sets, erroring (never silently falling back) on
 //! unrecognised values.
 
-pub mod backoff;
+mod backoff;
 pub mod budget;
-pub mod chan;
 pub mod deque;
-pub mod link;
-pub mod mpmc;
 pub mod policy;
 pub mod pool;
 pub mod scope;
 pub mod spsc;
-pub mod stage;
 
-pub use backoff::Backoff;
 pub use budget::{BudgetLease, ThreadBudget};
-pub use chan::{Bounded, TryRecv};
 pub use deque::StealRange;
-pub use link::{LinkRx, LinkTx};
-pub use mpmc::{ring_mpmc, RingReceiver, RingSender};
 pub use policy::{host_threads, ExecPolicy, POLICY_ENV_VAR};
 pub use pool::{JobHandle, ThreadPool};
 pub use scope::{
     par_concat, par_for_each, par_map, par_map_indexed, par_permute, par_pipeline, par_scatter,
 };
-pub use spsc::{ring, SpscReceiver, SpscSender};
-pub use stage::{spawn_farm_workers, spawn_stage_workers, StageCrew, WidthGate};
+pub use spsc::{ring, SpscReceiver, SpscSender, TryRecv};

@@ -1,11 +1,10 @@
 //! A cache-padded, lock-free single-producer / single-consumer ring buffer
-//! — the FastFlow-style fast path under every stage-to-stage link.
+//! — the FastFlow-style link under every farm: the pump owns one sender
+//! and one receiver per replica, each replica owns the other two ends.
 //!
-//! The mutex+condvar [`Bounded`](crate::Bounded) channel costs a lock
-//! round-trip plus a condvar signal **per operation**; on a farm or
-//! pipeline hot path that queue cost is exactly what gates throughput.
-//! This ring replaces it for the 1-producer/1-consumer case with two
-//! monotone indices and a fixed slot array:
+//! A farm lane has exactly one producer and one consumer, so the ring
+//! needs no lock and no CAS, only two monotone indices and a fixed slot
+//! array:
 //!
 //! * the **producer** owns `tail`: it writes the slot, then publishes with
 //!   a `Release` store; its view of `head` is a cached copy, refreshed
@@ -19,29 +18,38 @@
 //!   (occupancy is bounded by the *requested* capacity, which need not be
 //!   a power of two).
 //!
-//! Blocking sends/receives use spin-then-park backoff
-//! ([`Backoff`] + a Dekker-style park handshake — see
-//! [`crate::backoff`]): the empty↔non-empty and full↔non-full transitions
-//! wake the parked peer, so idle links cost nothing.
+//! Blocking sends/receives use spin-then-park backoff (a `Backoff` ladder
+//! plus a Dekker-style park handshake, documented in `backoff.rs`): the
+//! empty↔non-empty and full↔non-full transitions wake the parked peer,
+//! so idle links cost nothing.
 //!
 //! Each end is `Send` but deliberately **not** `Clone` and not `Sync`:
 //! the type system enforces the single-producer/single-consumer contract.
-//! Dropping either end closes the ring (the peer drains, then observes
-//! disconnection), same shutdown protocol as [`Bounded`](crate::Bounded).
+//! Dropping either end closes the ring: the consumer drains what was
+//! published, then observes disconnection; the producer's sends fail.
 
 use crate::backoff::{Backoff, ParkSlot, PARK_SAFETY};
-use crate::chan::TryRecv;
 use std::cell::{Cell, UnsafeCell};
 use std::mem::MaybeUninit;
 use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+
+/// Outcome of a non-blocking receive.
+#[derive(Debug, PartialEq, Eq)]
+pub enum TryRecv<T> {
+    /// An item was dequeued.
+    Item(T),
+    /// The ring is currently empty but open.
+    Empty,
+    /// The ring is closed and fully drained.
+    Closed,
+}
 
 /// Pads-and-aligns to a 64-byte cache line so `head` and `tail` (and the
 /// slot array) never share one — the producer's publishing store must not
 /// invalidate the consumer's index line and vice versa.
 #[repr(align(64))]
-pub(crate) struct CachePadded<T>(pub(crate) T);
+struct CachePadded<T>(T);
 
 struct Inner<T> {
     /// Slot array; length is `cap.next_power_of_two()`, indexed by
@@ -58,13 +66,13 @@ struct Inner<T> {
     /// this is the publication of the slot contents), read by the
     /// consumer (`Acquire`).
     tail: CachePadded<AtomicUsize>,
-    /// Close bit (either end, or a composition sharing it). `SeqCst` so a
-    /// close is never ordered after the wakes it must precede.
-    closed: Arc<AtomicBool>,
+    /// Close bit (either end). `SeqCst` so a close is never ordered after
+    /// the wakes it must precede.
+    closed: AtomicBool,
     /// Where a full-ring producer parks; woken by the consumer's pops.
-    prod_park: Arc<ParkSlot>,
+    prod_park: ParkSlot,
     /// Where an empty-ring consumer parks; woken by the producer's pushes.
-    cons_park: Arc<ParkSlot>,
+    cons_park: ParkSlot,
 }
 
 // SAFETY: the split into one sender and one receiver (each !Sync, neither
@@ -80,6 +88,10 @@ impl<T> Drop for Inner<T> {
         let tail = *self.tail.0.get_mut();
         let mut pos = head;
         while pos != tail {
+            // SAFETY: positions `head..tail` were written and published by
+            // the producer and never read by the consumer (a read advances
+            // `head` past the slot), so each holds an initialised item that
+            // nobody else will drop; `&mut self` means both ends are gone.
             unsafe { (*self.buf[pos & self.mask].get()).assume_init_drop() };
             pos = pos.wrapping_add(1);
         }
@@ -111,23 +123,6 @@ unsafe impl<T: Send> Send for SpscReceiver<T> {}
 
 /// A fresh SPSC ring holding at most `cap` items (at least 1).
 pub fn ring<T: Send>(cap: usize) -> (SpscSender<T>, SpscReceiver<T>) {
-    ring_shared(
-        cap,
-        Arc::new(AtomicBool::new(false)),
-        Arc::new(ParkSlot::default()),
-        Arc::new(ParkSlot::default()),
-    )
-}
-
-/// An SPSC ring wired to externally owned close/park state — how the
-/// MPMC composition ([`crate::mpmc`]) shares one close bit and one park
-/// slot per side across a whole lane matrix.
-pub(crate) fn ring_shared<T: Send>(
-    cap: usize,
-    closed: Arc<AtomicBool>,
-    prod_park: Arc<ParkSlot>,
-    cons_park: Arc<ParkSlot>,
-) -> (SpscSender<T>, SpscReceiver<T>) {
     let cap = cap.max(1);
     let slots = cap.next_power_of_two();
     let buf: Box<[UnsafeCell<MaybeUninit<T>>]> = (0..slots)
@@ -139,9 +134,9 @@ pub(crate) fn ring_shared<T: Send>(
         cap,
         head: CachePadded(AtomicUsize::new(0)),
         tail: CachePadded(AtomicUsize::new(0)),
-        closed,
-        prod_park,
-        cons_park,
+        closed: AtomicBool::new(false),
+        prod_park: ParkSlot::default(),
+        cons_park: ParkSlot::default(),
     });
     (
         SpscSender {
@@ -329,36 +324,14 @@ impl<T: Send> SpscReceiver<T> {
                 TryRecv::Empty => {}
             }
             if backoff.snooze() {
-                self.park_empty(PARK_SAFETY);
+                self.park_empty();
                 backoff.reset();
             }
         }
     }
 
-    /// [`SpscReceiver::recv`] that gives up at a **deadline**: the total
-    /// wait never exceeds `timeout` (plus scheduling noise), no matter how
-    /// many wakeups occur in between.
-    pub fn recv_timeout(&self, timeout: Duration) -> TryRecv<T> {
-        let deadline = Instant::now() + timeout;
-        let mut backoff = Backoff::new();
-        loop {
-            match self.try_recv() {
-                TryRecv::Item(x) => return TryRecv::Item(x),
-                TryRecv::Closed => return TryRecv::Closed,
-                TryRecv::Empty => {}
-            }
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                return TryRecv::Empty;
-            };
-            if backoff.snooze() {
-                self.park_empty(remaining.min(PARK_SAFETY));
-                backoff.reset();
-            }
-        }
-    }
-
-    /// Park until the producer publishes or closes (bounded by `limit`).
-    fn park_empty(&self, limit: Duration) {
+    /// Park until the producer publishes or closes.
+    fn park_empty(&self) {
         let park = &self.inner.cons_park;
         park.prepare();
         // re-check under the published flag: a push (or close) after
@@ -366,7 +339,7 @@ impl<T: Send> SpscReceiver<T> {
         let tail = self.inner.tail.0.load(Ordering::SeqCst);
         self.tail_cache.set(tail);
         if tail == self.head.get() && !self.inner.closed.load(Ordering::SeqCst) {
-            park.park(limit);
+            park.park(PARK_SAFETY);
         }
         park.clear();
     }
@@ -399,6 +372,7 @@ impl<T> Drop for SpscReceiver<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn fifo_order_within_capacity() {
@@ -467,19 +441,7 @@ mod tests {
         drop(tx); // 4 published-but-unconsumed strings drop with the ring
     }
 
-    #[test]
-    fn recv_timeout_is_deadline_bound() {
-        let (tx, rx) = ring::<u8>(1);
-        let t0 = Instant::now();
-        assert_eq!(rx.recv_timeout(Duration::from_millis(30)), TryRecv::Empty);
-        let waited = t0.elapsed();
-        assert!(waited >= Duration::from_millis(25), "{waited:?}");
-        assert!(waited < Duration::from_millis(300), "{waited:?}");
-        tx.try_send(9).unwrap();
-        assert_eq!(rx.recv_timeout(Duration::from_millis(30)), TryRecv::Item(9));
-    }
-
-    /// The two-thread soak the issue asks for: every item delivered
+    /// The two-thread soak: every item delivered
     /// exactly once, in order, across a ring much smaller than the
     /// stream, with both blocking paths (full producer, empty consumer)
     /// exercised continuously.
@@ -499,33 +461,6 @@ mod tests {
             expect += 1;
         }
         assert_eq!(expect, N, "lost items");
-        producer.join().unwrap();
-    }
-
-    /// Same soak with the consumer using the deadline API — Empty returns
-    /// are allowed (deadline passed), items must still arrive exactly
-    /// once, in order.
-    #[test]
-    fn soak_through_recv_timeout() {
-        const N: u64 = 50_000;
-        let (tx, rx) = ring::<u64>(4);
-        let producer = std::thread::spawn(move || {
-            for i in 0..N {
-                tx.send(i).expect("receiver alive");
-            }
-        });
-        let mut expect = 0u64;
-        loop {
-            match rx.recv_timeout(Duration::from_millis(1)) {
-                TryRecv::Item(x) => {
-                    assert_eq!(x, expect);
-                    expect += 1;
-                }
-                TryRecv::Empty => {}
-                TryRecv::Closed => break,
-            }
-        }
-        assert_eq!(expect, N);
         producer.join().unwrap();
     }
 }

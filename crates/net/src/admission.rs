@@ -1,4 +1,4 @@
-//! Bounded admission with load shedding, plus per-tenant token buckets.
+//! Depth-capped admission with load shedding, plus per-tenant token buckets.
 //!
 //! Connection reader threads push decoded submissions here; the single
 //! service thread pops them in batches. The queue is deliberately the

@@ -10,7 +10,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use scl_core::wire::{HEADER_LEN, MAX_FRAME_LEN, VERSION};
-use scl_net::frame::kind;
+use scl_net::frame::{kind, MAX_SOURCE_LEN};
 use scl_net::{ErrorCode, Mode, NetClient, NetConfig, NetServer, Reply, TenantSpec};
 
 fn start() -> NetServer {
@@ -233,6 +233,48 @@ fn bad_fingerprints_and_corrupt_submits_never_panic_the_service() {
         other => panic!("expected typed error, got {other:?}"),
     }
     assert_still_serving(&server);
+    server.shutdown();
+}
+
+#[test]
+fn deeply_nested_source_is_a_typed_parse_error() {
+    // The deepest nesting a source can carry: it fills the source-length
+    // bound exactly (~32k parentheses, ~6k `mapGroups`). The parse runs
+    // on the service thread, so a recursion without a depth limit would
+    // take the whole server down with a stack overflow.
+    let parens_depth = (MAX_SOURCE_LEN - "map(inc)".len()) / 2;
+    let groups_depth = (MAX_SOURCE_LEN - "id".len()) / "mapGroups[]".len();
+    let parens = format!(
+        "map({}inc{})",
+        "(".repeat(parens_depth),
+        ")".repeat(parens_depth)
+    );
+    let groups = format!(
+        "{}id{}",
+        "mapGroups[".repeat(groups_depth),
+        "]".repeat(groups_depth)
+    );
+    // 50k levels no longer fit the source bound: refused before parsing
+    let too_long = format!("map({}inc{})", "(".repeat(50_000), ")".repeat(50_000));
+    let server = start();
+    let mut c = NetClient::connect(server.local_addr()).unwrap();
+    for (source, want) in [
+        (parens, ErrorCode::ParseError),
+        (groups, ErrorCode::ParseError),
+        (too_long, ErrorCode::Oversize),
+    ] {
+        match c.submit_source(0, Mode::Plain, &source, "", &[1, 2, 3]) {
+            Err(scl_net::ClientError::Server { code, message, .. }) => {
+                assert_eq!(code, want, "{message}")
+            }
+            other => panic!("expected {want:?}, got {other:?}"),
+        }
+        // the same connection keeps serving
+        let r = c
+            .submit_source(0, Mode::Plain, "map(inc)", "", &[1, 2, 3])
+            .unwrap();
+        assert_eq!(r.output, vec![2, 3, 4]);
+    }
     server.shutdown();
 }
 

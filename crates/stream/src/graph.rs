@@ -1,5 +1,5 @@
 //! The persistent operator graph behind [`StreamExec`](crate::StreamExec):
-//! farm stages (segment replicas over bounded queues) linked by pump-side
+//! farm stages (segment replicas over private SPSC rings) linked by pump-side
 //! hops (barrier chains), plus the pump loop and the autonomic width
 //! controller.
 //!
@@ -13,14 +13,11 @@
 
 use crate::{Envelope, FarmStats, StageStat};
 use scl_core::{panic_message, BarrierOp, BranchOp, ErasedArr, PlanOp, RequestError, SegmentOp};
-use scl_exec::{
-    ring_mpmc, spawn_farm_workers, spawn_stage_workers, Bounded, ExecPolicy, RingReceiver,
-    RingSender, ThreadPool, TryRecv, WidthGate,
-};
+use scl_exec::{ring, ExecPolicy, SpscReceiver, SpscSender, ThreadPool, TryRecv};
 use scl_machine::Machine;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -77,51 +74,39 @@ impl Hop {
     }
 }
 
-/// A farm's stage-to-stage links: the lock-free ring fast path, or the
-/// mutex+condvar fallback.
+/// One farm stage: a fused compute segment replicated across workers,
+/// with the pump-side reorder buffer that restores stream order.
 ///
-/// **Rings** exploit the farm's known topology — exactly one pumping
-/// thread on each side — as two SPSC lane matrices: a 1×W input matrix
-/// (pump → replicas, the pump holds the [`RingSender`]) and a W×1 output
-/// matrix (replicas → pump). Each replica owns its private (receiver,
-/// sender) lane pair, so the whole `take → work → emit` loop is
-/// lock-free; the width gate steers the **pump's routing**
-/// ([`RingSender::try_send_within`]) instead of gating the workers — a
-/// narrowed-off replica just stops receiving new items, drains its own
-/// ring, and parks in `recv` for free.
-///
-/// **Locked** ([`Bounded`]) remains for link shapes the rings can't
-/// honour — a per-link capacity smaller than the replica count would
-/// weaken the backpressure bound (lanes must hold ≥ 1 item each) — and
-/// as the explicitly selectable fallback
-/// ([`with_locked_links`](crate::StreamPolicy::with_locked_links)).
-enum FarmLinks {
-    Rings {
-        in_tx: RingSender<Envelope>,
-        out_rx: RingReceiver<Envelope>,
-    },
-    Locked {
-        in_q: Bounded<Envelope>,
-        out_q: Bounded<Envelope>,
-    },
-}
-
-/// One farm stage: a fused compute segment replicated across gated
-/// workers, with the pump-side reorder buffer that restores stream order.
+/// Links are FastFlow's emitter → worker → collector over plain SPSC
+/// rings: replica `r` owns the receiving end of `in_txs[r]` and the
+/// sending end of `out_rxs[r]`, so its `recv → process → send` loop takes
+/// no lock. The pump holds the other ends and routes round-robin over the
+/// first `active` lanes: a narrowed-off replica just stops receiving new
+/// items, drains its own ring, and parks in `recv` for free.
 pub(crate) struct Farm {
     label: String,
     seg: Arc<SegmentOp<'static>>,
-    links: FarmLinks,
-    /// The replicas' private lane ends (ring farms only), moved out by
-    /// [`Farm::spawn`].
-    worker_links: Vec<(RingReceiver<Envelope>, RingSender<Envelope>)>,
-    /// Replicas currently allowed to claim work (the autonomic gate;
-    /// with ring links it steers the pump's routing, with locked links
-    /// workers past the width park on its condvar).
-    active: Arc<WidthGate>,
+    /// Replica `r` → pump. Declared before `in_txs` so a dropping farm
+    /// closes the outputs first: a replica then fails its next send and
+    /// exits instead of draining its whole input ring.
+    out_rxs: Vec<SpscReceiver<Envelope>>,
+    /// Pump → replica `r`.
+    in_txs: Vec<SpscSender<Envelope>>,
+    /// The replicas' lane ends, moved out by [`Farm::spawn`].
+    worker_links: Vec<(SpscReceiver<Envelope>, SpscSender<Envelope>)>,
+    /// Lane the pump's round-robin tries first.
+    cursor: usize,
+    /// Items one lane holds: `max(1, capacity / spawned)`.
+    lane_cap: usize,
+    /// Cap on admitted-minus-released stream positions; see
+    /// [`Graph::accept`].
+    window: u64,
+    /// Replicas currently routed to (the autonomic width gate). Only the
+    /// pumping thread reads or writes it.
+    active: usize,
     /// Current ceiling for `active` (≤ `spawned`): the policy/cost-model
     /// ceiling clamped by the graph's external width cap.
-    max_width: AtomicUsize,
+    max_width: usize,
     /// The policy-side ceiling alone (exec policy cap, possibly lowered by
     /// the cost model at calibration) — kept so an external cap change can
     /// recompute `max_width` without re-calibrating.
@@ -144,39 +129,22 @@ impl Farm {
         capacity: usize,
         width_cap: usize,
         adaptive: bool,
-        locked_links: bool,
     ) -> Farm {
-        // rings only when each of the `width_cap` lanes can hold at
-        // least one item without exceeding the configured capacity —
-        // otherwise the lane split would either starve replicas or
-        // weaken the backpressure bound — and when not explicitly
-        // overridden
-        let (links, worker_links) = if !locked_links && capacity >= width_cap {
-            let (mut in_txs, in_rxs) = ring_mpmc(1, width_cap, capacity);
-            let (out_txs, mut out_rxs) = ring_mpmc(width_cap, 1, capacity);
-            (
-                FarmLinks::Rings {
-                    in_tx: in_txs.remove(0),
-                    out_rx: out_rxs.remove(0),
-                },
-                in_rxs.into_iter().zip(out_txs).collect(),
-            )
-        } else {
-            (
-                FarmLinks::Locked {
-                    in_q: Bounded::new(capacity),
-                    out_q: Bounded::new(capacity),
-                },
-                Vec::new(),
-            )
-        };
+        let lane_cap = (capacity / width_cap).max(1);
+        let (in_txs, in_rxs): (Vec<_>, Vec<_>) = (0..width_cap).map(|_| ring(lane_cap)).unzip();
+        let (out_txs, out_rxs): (Vec<_>, Vec<_>) = (0..width_cap).map(|_| ring(lane_cap)).unzip();
         Farm {
             label: seg.label(),
             seg,
-            links,
-            worker_links,
-            active: WidthGate::new(if adaptive { 1 } else { width_cap }),
-            max_width: AtomicUsize::new(width_cap),
+            out_rxs,
+            in_txs,
+            worker_links: in_rxs.into_iter().zip(out_txs).collect(),
+            cursor: 0,
+            lane_cap,
+            // static buffer space: in + out + one item in hand per replica
+            window: (2 * capacity + width_cap) as u64,
+            active: if adaptive { 1 } else { width_cap },
+            max_width: width_cap,
             policy_cap: width_cap,
             spawned: width_cap,
             stats: Arc::new(FarmStats::default()),
@@ -188,17 +156,18 @@ impl Farm {
     }
 
     /// Spawn this farm's replicas: each claims envelopes off its input
-    /// link, runs the segment against the item's own machine context
+    /// ring, runs the segment against the item's own machine context
     /// (charging it eager-style), and emits downstream — blocking there
     /// when full, so backpressure reaches the replicas too. A panicking
     /// stage poisons the envelope with a typed [`RequestError`] instead of
     /// killing the worker; an item whose deadline already passed
     /// short-circuits as [`RequestError::DeadlineExceeded`] without
-    /// occupying the replica.
+    /// occupying the replica. A replica exits once its input closes and
+    /// drains, or its output closes under it (the graph is dropping).
     fn spawn(&mut self, pool: &ThreadPool, summed: bool) {
         let seg = Arc::clone(&self.seg);
         let stats = Arc::clone(&self.stats);
-        let process = move |env: Envelope| -> Envelope {
+        let process = Arc::new(move |env: Envelope| -> Envelope {
             let t0 = Instant::now();
             let Envelope {
                 seq,
@@ -229,60 +198,51 @@ impl Farm {
                 deadline,
                 payload,
             }
-        };
-        // crew handles dropped in both arms: replicas never panic
-        // (poison instead), and the pool joins the threads on shutdown
-        match &self.links {
-            FarmLinks::Rings { .. } => {
-                // each replica owns a private lane pair: its loop is
-                // lock-free end to end, and admission happens upstream
-                // in the pump's routing (no gate in the loop)
-                let links = std::mem::take(&mut self.worker_links);
-                drop(spawn_farm_workers(
-                    pool,
-                    links,
-                    Arc::new(move |_replica, env| process(env)),
-                ));
-            }
-            FarmLinks::Locked { in_q, out_q } => {
-                let out = out_q.clone();
-                drop(spawn_stage_workers(
-                    pool,
-                    self.spawned,
-                    Arc::clone(&self.active),
-                    in_q.clone(),
-                    Arc::new(move |_replica, env| {
-                        // a closed output means the graph is shutting
-                        // down: drop the result
-                        let _ = out.send(process(env));
-                    }),
-                ));
-            }
+        });
+        // handles dropped: replicas never panic (they poison instead),
+        // and the pool joins the threads on shutdown
+        for (rx, tx) in std::mem::take(&mut self.worker_links) {
+            let process = Arc::clone(&process);
+            drop(pool.submit(move || {
+                while let Some(env) = rx.recv() {
+                    if tx.send(process(env)).is_err() {
+                        break;
+                    }
+                }
+            }));
         }
     }
 
     /// Items queued toward the replicas right now (racy gauge).
     fn in_depth(&self) -> usize {
-        match &self.links {
-            FarmLinks::Rings { in_tx, .. } => in_tx.len(),
-            FarmLinks::Locked { in_q, .. } => in_q.len(),
-        }
+        self.in_txs.iter().map(SpscSender::len).sum()
     }
 
-    /// Input capacity the pump can currently route into: for ring links
-    /// only the gate-admitted lanes count (each lane holds
-    /// `capacity / spawned`), for a locked link it is the whole queue.
-    /// The controller's widen threshold is relative to this, so a
-    /// narrow farm still detects backlog when its few admitted lanes
-    /// fill up.
+    /// Input capacity the pump can currently route into: only the
+    /// admitted lanes count. The controller's widen threshold is relative
+    /// to this, so a narrow farm still detects backlog when its few
+    /// admitted lanes fill up.
     fn in_routable_capacity(&self) -> usize {
-        match &self.links {
-            FarmLinks::Rings { in_tx, .. } => {
-                let lane = (in_tx.capacity() / self.spawned).max(1);
-                lane * self.active.width().min(self.spawned)
+        self.lane_cap * self.active.min(self.spawned)
+    }
+
+    /// Round-robin `env` over the first `active` lanes, starting at the
+    /// cursor. `Err` hands it back when every admitted lane is full (or
+    /// closed).
+    #[allow(clippy::result_large_err)] // Err hands the envelope back, by design
+    fn route(&mut self, mut env: Envelope) -> Result<(), Envelope> {
+        let n = self.active.clamp(1, self.spawned);
+        for i in 0..n {
+            let lane = (self.cursor + i) % n;
+            match self.in_txs[lane].try_send(env) {
+                Ok(()) => {
+                    self.cursor = (lane + 1) % n;
+                    return Ok(());
+                }
+                Err(back) => env = back,
             }
-            FarmLinks::Locked { in_q, .. } => in_q.capacity(),
         }
+        Err(env)
     }
 }
 
@@ -309,9 +269,10 @@ pub(crate) struct Graph {
     summed_charging: bool,
     adaptive: bool,
     /// The persistent worker pool, held for its drop (which joins the
-    /// replica threads); `None` when the graph has no farms. The `Graph`
-    /// drop impl closes every channel first, so the workers the pool
-    /// joins are guaranteed to exit.
+    /// replica threads); `None` when the graph has no farms. Declared
+    /// after `farms`: fields drop in order, so every farm's rings close
+    /// first (waking parked replicas, dropping in-flight envelopes) and
+    /// the workers the pool joins are guaranteed to exit.
     _pool: Option<ThreadPool>,
 }
 
@@ -325,7 +286,6 @@ impl Graph {
         exec: ExecPolicy,
         adaptive: bool,
         summed_charging: bool,
-        locked_links: bool,
     ) -> Graph {
         let exec_cap = match exec {
             ExecPolicy::Sequential => 1,
@@ -347,7 +307,7 @@ impl Graph {
                             .expect("hops start non-empty")
                             .push_op(PumpOp::Inline(seg));
                     } else {
-                        farms.push(Farm::new(seg, capacity, exec_cap, adaptive, locked_links));
+                        farms.push(Farm::new(seg, capacity, exec_cap, adaptive));
                         hops.push(Hop::new());
                     }
                 }
@@ -362,24 +322,12 @@ impl Graph {
                         hops.last_mut()
                             .expect("hops start non-empty")
                             .push_op(PumpOp::Barrier(p.enter));
-                        farms.push(Farm::new(
-                            Arc::new(p.left),
-                            capacity,
-                            exec_cap,
-                            adaptive,
-                            locked_links,
-                        ));
+                        farms.push(Farm::new(Arc::new(p.left), capacity, exec_cap, adaptive));
                         hops.push(Hop::new());
                         hops.last_mut()
                             .expect("hops grow with farms")
                             .push_op(PumpOp::Barrier(p.swap));
-                        farms.push(Farm::new(
-                            Arc::new(p.right),
-                            capacity,
-                            exec_cap,
-                            adaptive,
-                            locked_links,
-                        ));
+                        farms.push(Farm::new(Arc::new(p.right), capacity, exec_cap, adaptive));
                         hops.push(Hop::new());
                         hops.last_mut()
                             .expect("hops grow with farms")
@@ -435,10 +383,13 @@ impl Graph {
         self.extern_cap = cap.max(1);
         for farm in &mut self.farms {
             let eff = farm.policy_cap.min(self.extern_cap).clamp(1, farm.spawned);
-            farm.max_width.store(eff, Ordering::Relaxed);
-            let active = farm.active.width();
-            let want = if self.adaptive { active.min(eff) } else { eff };
-            farm.active.set(want.max(1));
+            farm.max_width = eff;
+            let want = if self.adaptive {
+                farm.active.min(eff)
+            } else {
+                eff
+            };
+            farm.active = want.max(1);
         }
     }
 
@@ -469,10 +420,13 @@ impl Graph {
             );
             farm.policy_cap = d.threads.clamp(1, farm.spawned);
             let cap = farm.policy_cap.min(self.extern_cap).clamp(1, farm.spawned);
-            farm.max_width.store(cap, Ordering::Relaxed);
-            let active = farm.active.width();
-            let want = if self.adaptive { active.min(cap) } else { cap };
-            farm.active.set(want.max(1));
+            farm.max_width = cap;
+            let want = if self.adaptive {
+                farm.active.min(cap)
+            } else {
+                cap
+            };
+            farm.active = want.max(1);
         }
     }
 
@@ -520,16 +474,9 @@ impl Graph {
         let farm = &mut self.farms[h - 1];
         // drain whatever the replicas have finished into the reorder
         // buffer; release only the next item in stream order
-        match &farm.links {
-            FarmLinks::Rings { out_rx, .. } => {
-                while let TryRecv::Item(env) = out_rx.try_recv() {
-                    farm.reorder.insert(env.seq, env);
-                }
-            }
-            FarmLinks::Locked { out_q, .. } => {
-                while let TryRecv::Item(env) = out_q.try_recv() {
-                    farm.reorder.insert(env.seq, env);
-                }
+        for out_rx in &farm.out_rxs {
+            while let TryRecv::Item(env) = out_rx.try_recv() {
+                farm.reorder.insert(env.seq, env);
             }
         }
         match farm.reorder.remove(&farm.expect) {
@@ -611,30 +558,17 @@ impl Graph {
     #[allow(clippy::result_large_err)] // Err hands the envelope back, by design
     fn accept(&mut self, h: usize, env: Envelope) -> Result<(), Envelope> {
         if h < self.farms.len() {
-            let farm = &self.farms[h];
-            match &farm.links {
-                // ring farms enforce the width gate here, in the pump's
-                // routing: only the first `width` replicas' lanes are
-                // eligible, so narrowed-off replicas drain dry and park
-                FarmLinks::Rings { in_tx, out_rx } => {
-                    // Occupancy window: a shared locked queue hands items
-                    // to replicas in FIFO order, so nothing falls far
-                    // behind; private lanes can park an item deep in one
-                    // busy lane while the others race ahead into the
-                    // reorder buffer — and on through it, admitting ever
-                    // more pushes. Capping admitted-minus-released at the
-                    // farm's static buffer space (in + out + one in hand
-                    // per replica) keeps the reorder buffer — and the
-                    // whole stream's in-flight gauge — bounded by
-                    // O(capacity), exactly as with locked links.
-                    let window = (in_tx.capacity() + out_rx.capacity() + farm.spawned) as u64;
-                    if env.seq - farm.expect >= window {
-                        return Err(env);
-                    }
-                    in_tx.try_send_within(env, farm.active.width())
-                }
-                FarmLinks::Locked { in_q, .. } => in_q.try_send(env),
+            let farm = &mut self.farms[h];
+            // Occupancy window: private lanes can park an item deep in
+            // one busy lane while the others race ahead into the reorder
+            // buffer — and on through it, admitting ever more pushes.
+            // Capping admitted-minus-released at the farm's static buffer
+            // space keeps the reorder buffer — and the whole stream's
+            // in-flight gauge — bounded by O(max(capacity, width)).
+            if env.seq - farm.expect >= farm.window {
+                return Err(env);
             }
+            farm.route(env)
         } else {
             self.completed.push_back(env);
             Ok(())
@@ -657,14 +591,14 @@ impl Graph {
             let dbusy = busy.saturating_sub(farm.last_busy);
             farm.last_busy = busy;
             farm.last_tick = now;
-            let active = farm.active.width();
-            let cap = farm.max_width.load(Ordering::Relaxed);
+            let active = farm.active;
+            let cap = farm.max_width;
             let depth = farm.in_depth();
             let util = dbusy as f64 / (dt as f64 * active.max(1) as f64);
             if depth * 4 >= farm.in_routable_capacity() * 3 && active < cap {
-                farm.active.set(active + 1);
+                farm.active = active + 1;
             } else if depth == 0 && util < 0.25 && active > 1 {
-                farm.active.set(active - 1);
+                farm.active = active - 1;
             }
         }
     }
@@ -690,8 +624,8 @@ impl Graph {
                 out.push(StageStat {
                     label: farm.label.clone(),
                     farm: true,
-                    width: farm.active.width(),
-                    max_width: farm.max_width.load(Ordering::Relaxed),
+                    width: farm.active,
+                    max_width: farm.max_width,
                     queue_depth: farm.in_depth(),
                     items,
                     mean_service_secs: mean_secs(
@@ -702,31 +636,6 @@ impl Graph {
             }
         }
         out
-    }
-}
-
-impl Drop for Graph {
-    fn drop(&mut self) {
-        // Close every link before the pool field drops: replicas blocked
-        // on a full output or an empty input wake, observe the close,
-        // and exit, letting the pool's drop join them. In-flight
-        // envelopes are dropped with the queues.
-        for farm in &self.farms {
-            match &farm.links {
-                FarmLinks::Rings { in_tx, out_rx } => {
-                    // closing the pump's row/column closes every lane of
-                    // both matrices (1×W and W×1) and wakes parked ends
-                    in_tx.close();
-                    out_rx.close();
-                }
-                FarmLinks::Locked { in_q, out_q } => {
-                    in_q.close();
-                    out_q.close();
-                }
-            }
-            // wake parked (gated-off) replicas so they observe the close
-            farm.active.open_all();
-        }
     }
 }
 

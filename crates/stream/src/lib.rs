@@ -17,10 +17,9 @@
 //! compute segments separated by barriers, and [`StreamExec::new`] turns
 //! that list into a graph:
 //!
-//! * each **segment** becomes a long-lived **farm stage**: an input queue,
-//!   `N` replica workers on a persistent `scl-exec` pool
-//!   ([`spawn_stage_workers`](scl_exec::spawn_stage_workers)), and an
-//!   output queue. Segments are pure and part-local (`Fn + Send + Sync`),
+//! * each **segment** becomes a long-lived **farm stage**: `N` replica
+//!   workers on a persistent `scl-exec` pool, each with a private input
+//!   and output ring. Segments are pure and part-local (`Fn + Send + Sync`),
 //!   so replicas process *different stream items* concurrently; a reorder
 //!   buffer restores stream order on collection (emitter / N replicas /
 //!   **order-preserving** collector);
@@ -28,15 +27,13 @@
 //!   `iter_until` loops — anything stateful or whole-configuration)
 //!   becomes a **stage boundary** executed serially, in stream order, on
 //!   the pumping thread;
-//! * stages are linked by **bounded queues** of `capacity` items, so
-//!   backpressure propagates all the way to [`StreamExec::push`] and
-//!   in-flight memory stays **O(capacity × stages)** regardless of stream
-//!   length. The links default to **lock-free SPSC ring matrices**
-//!   ([`scl_exec::ring_mpmc`]) — each replica owns a private lane pair,
-//!   FastFlow-style, and the width gate steers the pump's routing — and
-//!   fall back to the mutex+condvar [`Bounded`](scl_exec::Bounded)
-//!   channel when `capacity` can't give every replica a lane (or when
-//!   [`StreamPolicy::with_locked_links`] forces it).
+//! * stages are linked by **bounded lock-free SPSC rings**
+//!   ([`scl_exec::ring`]), FastFlow-style: the pumping thread owns one
+//!   ring into and one ring out of each replica and routes round-robin
+//!   over the replicas the width gate admits. Each lane holds
+//!   `max(1, capacity / width)` items, so backpressure propagates all the
+//!   way to [`StreamExec::push`] and in-flight memory stays
+//!   **O(max(capacity, width) × stages)** regardless of stream length.
 //!
 //! Plans with a stage that has no fused form fall back to per-item eager
 //! execution (same answers, no pipeline overlap).
@@ -62,8 +59,9 @@
 //! [`StreamPolicy::with_tick_items`] completions) and widens a backlogged
 //! stage / narrows an underutilised one, within bounds derived from the
 //! [`ExecPolicy`] thread cap and — under `ExecPolicy::CostDriven` — the
-//! machine's `CostModel::fused_decision`. Replicas beyond the gate idle
-//! without claiming work, so adaptation never spawns or joins threads.
+//! machine's `CostModel::fused_decision`. The pump routes nothing to
+//! replicas beyond the gate, which drain their rings and park, so
+//! adaptation never spawns or joins threads.
 //!
 //! ## Serving integration
 //!
@@ -74,8 +72,8 @@
 //!   every farm at a share of a host-wide thread budget
 //!   ([`scl_exec::ThreadBudget`]). The cap composes with the
 //!   policy/cost-model ceiling and with the autonomic controller (which
-//!   keeps adapting *within* it); replicas beyond the cap park on their
-//!   width gates, so a scheduler can re-shard capacity between tenants
+//!   keeps adapting *within* it); replicas beyond the cap get no new
+//!   items and park in their rings, so a scheduler can re-shard capacity between tenants
 //!   every round without spawning or joining threads.
 //! * **Fused-style charging** — [`StreamPolicy::with_fused_charging`]
 //!   makes segments charge one summed `"fused"` compute event per part
@@ -127,7 +125,6 @@ pub struct StreamPolicy {
     tick_items: u64,
     adaptive: bool,
     fused_charging: bool,
-    locked_links: bool,
 }
 
 impl StreamPolicy {
@@ -142,7 +139,6 @@ impl StreamPolicy {
             tick_items: 32,
             adaptive: true,
             fused_charging: false,
-            locked_links: false,
         }
     }
 
@@ -156,8 +152,9 @@ impl StreamPolicy {
         self
     }
 
-    /// Set the per-channel capacity (≥ 1): the backpressure bound. Peak
-    /// in-flight items are O(capacity × stages).
+    /// Set the per-link capacity (≥ 1): the backpressure bound. A farm of
+    /// width `w` splits it into `w` lanes of `max(1, capacity / w)` items
+    /// each way. Peak in-flight items are O(max(capacity, w) × stages).
     pub fn with_capacity(mut self, capacity: usize) -> StreamPolicy {
         self.capacity = capacity.max(1);
         self
@@ -187,17 +184,6 @@ impl StreamPolicy {
     /// submissions.
     pub fn with_fused_charging(mut self, fused_charging: bool) -> StreamPolicy {
         self.fused_charging = fused_charging;
-        self
-    }
-
-    /// Force every stage-to-stage link onto the mutex+condvar
-    /// [`Bounded`](scl_exec::Bounded) channel instead of the default
-    /// lock-free SPSC ring matrices. Same semantics (bounded,
-    /// close-then-drain, identical outputs and reports) — this exists as
-    /// an escape hatch and for differential testing of the two queue
-    /// families; the rings are the fast path.
-    pub fn with_locked_links(mut self, locked_links: bool) -> StreamPolicy {
-        self.locked_links = locked_links;
         self
     }
 }
@@ -299,18 +285,10 @@ where
             tick_items,
             adaptive,
             fused_charging,
-            locked_links,
         } = policy;
         let mode = match plan.into_stream_ops() {
             Err(plan) => Mode::Eager(plan),
-            Ok(ops) => Mode::Graph(Graph::build(
-                ops,
-                capacity,
-                exec,
-                adaptive,
-                fused_charging,
-                locked_links,
-            )),
+            Ok(ops) => Mode::Graph(Graph::build(ops, capacity, exec, adaptive, fused_charging)),
         };
         StreamExec {
             mode,
@@ -329,7 +307,7 @@ where
     }
 
     /// Items accepted but not yet completed — the graph's memory
-    /// pressure. Bounded by the channel capacities, never by the stream
+    /// pressure. Capped by the link capacities, never by the stream
     /// length.
     pub fn in_flight(&self) -> u64 {
         self.next_seq - self.completed
@@ -372,7 +350,8 @@ where
     /// ([`scl_exec::ThreadBudget`]). Composes with the policy/cost-model
     /// ceiling (the effective ceiling is the minimum); widening again
     /// restores headroom without forcing replicas active. Replicas beyond
-    /// the cap park on their width gates — no threads spawn or join. A
+    /// the cap get no new items and park in their rings — no threads
+    /// spawn or join. A
     /// no-op for eager-fallback executors (no farms to cap).
     pub fn set_width_cap(&mut self, cap: usize) {
         if let Mode::Graph(g) = &mut self.mode {

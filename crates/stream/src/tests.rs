@@ -282,34 +282,49 @@ fn backpressure_bounds_in_flight_items() {
 }
 
 #[test]
-fn ring_links_match_locked_links_bit_for_bit() {
-    // the lock-free fast path is a pure transport swap: outputs AND
-    // per-item machine reports must be identical to the mutex+condvar
-    // fallback, item for item
-    let run = |locked: bool| -> Vec<(Vec<i64>, scl_machine::MachineReport)> {
-        let mut s = StreamExec::new(
-            mixed_plan(),
-            StreamPolicy::new(unit_machine(4))
-                .with_exec(ExecPolicy::Threads(3))
-                .with_locked_links(locked),
-        );
-        for k in 0..60 {
-            s.push(arr(k)).unwrap();
-        }
-        s.drain_with_reports()
-            .into_iter()
-            .map(|(a, r)| (a.to_vec(), r))
-            .collect()
-    };
-    assert_eq!(run(false), run(true));
+fn capacity_below_width_splits_into_one_item_lanes() {
+    // capacity 2 over 4 replicas: every lane holds max(1, 2 / 4) = 1 item
+    let (capacity, width) = (2, 4);
+    let mut s = StreamExec::new(
+        mixed_plan(),
+        StreamPolicy::new(unit_machine(4))
+            .with_exec(ExecPolicy::Threads(width))
+            .with_capacity(capacity)
+            .with_adaptive(false),
+    );
+    let n_farms = s.farm_stages();
+    assert_eq!(n_farms, 2);
+    for k in 0..300 {
+        s.push(arr(k)).unwrap();
+    }
+    let streamed = s.drain_with_reports();
+    assert_eq!(streamed.len(), 300);
+
+    let plan = mixed_plan();
+    let mut scl = Scl::new(unit_machine(4));
+    for (k, (out, report)) in streamed.into_iter().enumerate() {
+        scl.reset();
+        let eager = plan.run(&mut scl, arr(k as i64));
+        assert_eq!(out, eager, "item {k}");
+        assert_eq!(report, scl.machine.report(), "item {k}");
+    }
+    // the backpressure test's per-farm bound with capacity replaced by
+    // max(capacity, width): O(max(capacity, width) × stages)
+    let per_farm = (3 * capacity.max(width) + 2 * width + 1) as u64;
+    let bound = per_farm * n_farms as u64 + 2;
+    let peak = s.peak_in_flight();
+    assert!(
+        peak <= bound,
+        "peak in-flight {peak} exceeded the bound {bound}"
+    );
 }
 
 #[test]
 fn ring_links_poison_stress_resolves_each_failure_exactly_once() {
     // companion to the 200k two-thread soak in `scl-exec::spsc`: the same
     // lock-free rings, now carrying poisoned envelopes mid-stream. Dozens
-    // of stage panics scattered through a long stream over
-    // `FarmLinks::Rings` must each resolve exactly once at the pop side
+    // of stage panics scattered through a long stream over the farms'
+    // private rings must each resolve exactly once at the pop side
     // as a typed error — never a lost item, never a double report, and
     // never a stranded pump or private lane (a regression here hangs this
     // test or miscounts the outcomes).
@@ -325,14 +340,12 @@ fn ring_links_poison_stress_resolves_each_failure_exactly_once() {
         .then(Skel::rotate(1))
         .then(Skel::map_costed(|x: &i64| (x + 1, Work::flops(1))))
     };
-    // full-width non-adaptive farms with capacity ≥ width: the ring
-    // transport, per the `Farm::new` selection rule
+    // full-width non-adaptive farms: every replica's lane pair in use
     let mut s = StreamExec::new(
         plan(),
         StreamPolicy::new(unit_machine(4))
             .with_exec(ExecPolicy::Threads(4))
-            .with_adaptive(false)
-            .with_locked_links(false),
+            .with_adaptive(false),
     );
     for k in 0..N {
         s.push(arr(k)).unwrap();

@@ -28,8 +28,17 @@
 //!
 //! `parse` is the left inverse of printing: for any normalised expression
 //! `e`, `parse(&e.to_string()) == Ok(e)` (property-tested).
+//!
+//! The parser recurses once per nesting level (`mapGroups[…]` and branch
+//! arms, parenthesised function and index references), so it refuses
+//! sources nested deeper than [`MAX_NESTING`] with a [`ParseError`]
+//! instead of overflowing the stack of whatever thread parses them.
 
 use crate::ir::{Expr, FnRef, IdxRef};
+
+/// Deepest nesting [`parse`] accepts: bracketed sub-programs plus
+/// parenthesised references, counted along any one path.
+pub const MAX_NESTING: usize = 64;
 
 /// Parse error with byte position context.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,6 +141,8 @@ struct Parser {
     toks: Vec<(Tok, usize)>,
     pos: usize,
     len: usize,
+    /// Nesting levels currently open; see [`Parser::nested`].
+    depth: usize,
 }
 
 impl Parser {
@@ -187,8 +198,26 @@ impl Parser {
         }
     }
 
+    /// Run `f` one nesting level deeper, failing past [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Parser) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth >= MAX_NESTING {
+            return self.err(format!("nesting deeper than {MAX_NESTING} levels"));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
     /// `expr := term (. term)*`
     fn expr(&mut self) -> Result<Expr, ParseError> {
+        self.nested(Parser::expr_inner)
+    }
+
+    fn expr_inner(&mut self) -> Result<Expr, ParseError> {
         let mut terms = vec![self.term()?];
         while self.peek() == Some(&Tok::Dot) {
             self.bump();
@@ -349,6 +378,10 @@ impl Parser {
     }
 
     fn fnref(&mut self) -> Result<FnRef, ParseError> {
+        self.nested(Parser::fnref_inner)
+    }
+
+    fn fnref_inner(&mut self) -> Result<FnRef, ParseError> {
         match self.peek() {
             Some(Tok::Ident(_)) => Ok(FnRef::Named(self.expect_ident("a function name")?)),
             Some(Tok::LParen) => {
@@ -370,6 +403,10 @@ impl Parser {
     }
 
     fn idxref(&mut self) -> Result<IdxRef, ParseError> {
+        self.nested(Parser::idxref_inner)
+    }
+
+    fn idxref_inner(&mut self) -> Result<IdxRef, ParseError> {
         match self.peek() {
             Some(Tok::Ident(_)) => Ok(IdxRef::Named(self.expect_ident("an index function")?)),
             Some(Tok::LParen) => {
@@ -404,6 +441,7 @@ pub fn parse(src: &str) -> Result<Expr, ParseError> {
         toks,
         pos: 0,
         len: src.len(),
+        depth: 0,
     };
     let e = p.expr()?;
     if p.pos != p.toks.len() {
@@ -553,6 +591,30 @@ mod tests {
 
         let err = parse("map(").unwrap_err();
         assert!(err.message.contains("function reference"));
+    }
+
+    #[test]
+    fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+        const DEEP: usize = 50_000;
+        let parens = format!("map({}inc{})", "(".repeat(DEEP), ")".repeat(DEEP));
+        let groups = format!("{}id{}", "mapGroups[".repeat(DEEP), "]".repeat(DEEP));
+        for src in [parens, groups] {
+            let err = parse(&src).unwrap_err();
+            assert!(err.message.contains("nesting deeper than"), "{err}");
+        }
+        // the limit itself still parses, one level past it does not
+        let at_limit = format!(
+            "{}id{}",
+            "mapGroups[".repeat(MAX_NESTING - 1),
+            "]".repeat(MAX_NESTING - 1)
+        );
+        assert!(parse(&at_limit).is_ok());
+        let past = format!(
+            "{}id{}",
+            "mapGroups[".repeat(MAX_NESTING),
+            "]".repeat(MAX_NESTING)
+        );
+        assert!(parse(&past).is_err());
     }
 
     #[test]

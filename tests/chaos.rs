@@ -4,8 +4,7 @@
 //! panics inside farm workers, barrier panics at sequential hops,
 //! artificial delays, and lane stalls — while tenant B's outputs **and**
 //! per-request `MachineReport`s must stay bit-for-bit equal to solo
-//! runs, under every execution policy and both link flavors (lock-free
-//! rings and locked queues). Plus the recovery contract: a crashed
+//! runs, under every execution policy. Plus the recovery contract: a crashed
 //! plan's next submission rebuilds the graph and succeeds.
 //!
 //! The CI harness pins the policy through `SCL_EXEC_POLICY`
@@ -130,96 +129,90 @@ fn cold_input(f: FaultPlan, site: &str, one_in: u64) -> ParArray<i64> {
 fn co_tenant_outputs_and_reports_survive_chaos_bit_for_bit() {
     let f = fault();
     for policy in policies() {
-        for locked in [false, true] {
-            let machine = unit_machine(8);
-            let mut srv: Serve<ParArray<i64>, ParArray<i64>> = Serve::new(
-                ServePolicy::new(machine.clone())
-                    .with_exec(policy)
-                    .with_locked_links(locked)
-                    .with_quarantine_after(1_000_000), // keep the crashes coming
+        let machine = unit_machine(8);
+        let mut srv: Serve<ParArray<i64>, ParArray<i64>> = Serve::new(
+            ServePolicy::new(machine.clone())
+                .with_exec(policy)
+                .with_quarantine_after(1_000_000), // keep the crashes coming
+        );
+        let a = srv.add_tenant("chaos");
+        let b = srv.add_tenant("victim");
+
+        // interleaved rounds: A keeps crashing one plan and churning a
+        // turbulent one while B streams healthy work through the same
+        // shared service
+        let mut crashers: Vec<Ticket> = Vec::new();
+        let mut turbulent: Vec<(Ticket, ParArray<i64>)> = Vec::new();
+        let mut victims: Vec<(Ticket, i64)> = Vec::new();
+        for round in 0..4i64 {
+            crashers.push(
+                srv.submit_keyed(a, "crash", crashing_plan(f), hot_input(f, "stage", 3))
+                    .unwrap(),
             );
-            let a = srv.add_tenant("chaos");
-            let b = srv.add_tenant("victim");
+            let tin = victim_input(1_000 + round);
+            turbulent.push((
+                srv.submit_keyed(a, "turb", turbulent_plan(f), tin.clone())
+                    .unwrap(),
+                tin,
+            ));
+            victims.push((
+                srv.submit_keyed(b, "victim", victim_plan(), victim_input(round))
+                    .unwrap(),
+                round,
+            ));
+        }
+        srv.run_until_idle();
 
-            // interleaved rounds: A keeps crashing one plan and churning a
-            // turbulent one while B streams healthy work through the same
-            // shared service
-            let mut crashers: Vec<Ticket> = Vec::new();
-            let mut turbulent: Vec<(Ticket, ParArray<i64>)> = Vec::new();
-            let mut victims: Vec<(Ticket, i64)> = Vec::new();
-            for round in 0..4i64 {
-                crashers.push(
-                    srv.submit_keyed(a, "crash", crashing_plan(f), hot_input(f, "stage", 3))
-                        .unwrap(),
-                );
-                let tin = victim_input(1_000 + round);
-                turbulent.push((
-                    srv.submit_keyed(a, "turb", turbulent_plan(f), tin.clone())
-                        .unwrap(),
-                    tin,
-                ));
-                victims.push((
-                    srv.submit_keyed(b, "victim", victim_plan(), victim_input(round))
-                        .unwrap(),
-                    round,
-                ));
-            }
-            srv.run_until_idle();
-
-            // every crashing submission resolved to a typed fault — none
-            // lost, none unwound through the service
-            for tk in crashers {
-                let err = srv.outcome(tk).expect("resolved").unwrap_err();
-                assert!(err.is_fault(), "expected a fault, got {err}");
-                assert!(
-                    err.to_string().contains("injected fault at `stage`"),
-                    "{err}"
-                );
-            }
+        // every crashing submission resolved to a typed fault — none
+        // lost, none unwound through the service
+        for tk in crashers {
+            let err = srv.outcome(tk).expect("resolved").unwrap_err();
+            assert!(err.is_fault(), "expected a fault, got {err}");
             assert!(
-                srv.stats().panics >= 1,
-                "the seeded faults actually fired ({policy:?})"
-            );
-
-            // A's turbulent plan: timing chaos only — answers stay exact
-            let mut scl = Scl::new(machine.clone()).with_policy(policy);
-            for (i, (tk, tin)) in turbulent.into_iter().enumerate() {
-                let (out, report) = srv
-                    .outcome(tk)
-                    .expect("resolved")
-                    .expect("turbulence is not failure");
-                scl.reset();
-                let expect = turbulent_plan(f).run(&mut scl, tin);
-                assert_eq!(out, expect, "turbulent {i} ({policy:?}, locked={locked})");
-                assert_eq!(report, scl.machine.report(), "turbulent {i} report");
-            }
-
-            // tenant B: outputs and reports bit-for-bit equal to solo runs
-            for (tk, round) in victims {
-                let (out, report) = srv.outcome(tk).expect("resolved").expect("victim unharmed");
-                scl.reset();
-                let expect = victim_plan().run(&mut scl, victim_input(round));
-                assert_eq!(
-                    out, expect,
-                    "victim round {round} ({policy:?}, locked={locked})"
-                );
-                assert_eq!(
-                    report,
-                    scl.machine.report(),
-                    "victim round {round} report ({policy:?}, locked={locked})"
-                );
-            }
-
-            // and the service is still alive for everyone
-            let tk = srv
-                .submit_keyed(b, "victim", victim_plan(), victim_input(99))
-                .unwrap();
-            srv.run_until_idle();
-            assert!(
-                srv.outcome(tk).unwrap().is_ok(),
-                "service survived the chaos"
+                err.to_string().contains("injected fault at `stage`"),
+                "{err}"
             );
         }
+        assert!(
+            srv.stats().panics >= 1,
+            "the seeded faults actually fired ({policy:?})"
+        );
+
+        // A's turbulent plan: timing chaos only — answers stay exact
+        let mut scl = Scl::new(machine.clone()).with_policy(policy);
+        for (i, (tk, tin)) in turbulent.into_iter().enumerate() {
+            let (out, report) = srv
+                .outcome(tk)
+                .expect("resolved")
+                .expect("turbulence is not failure");
+            scl.reset();
+            let expect = turbulent_plan(f).run(&mut scl, tin);
+            assert_eq!(out, expect, "turbulent {i} ({policy:?})");
+            assert_eq!(report, scl.machine.report(), "turbulent {i} report");
+        }
+
+        // tenant B: outputs and reports bit-for-bit equal to solo runs
+        for (tk, round) in victims {
+            let (out, report) = srv.outcome(tk).expect("resolved").expect("victim unharmed");
+            scl.reset();
+            let expect = victim_plan().run(&mut scl, victim_input(round));
+            assert_eq!(out, expect, "victim round {round} ({policy:?})");
+            assert_eq!(
+                report,
+                scl.machine.report(),
+                "victim round {round} report ({policy:?})"
+            );
+        }
+
+        // and the service is still alive for everyone
+        let tk = srv
+            .submit_keyed(b, "victim", victim_plan(), victim_input(99))
+            .unwrap();
+        srv.run_until_idle();
+        assert!(
+            srv.outcome(tk).unwrap().is_ok(),
+            "service survived the chaos"
+        );
     }
 }
 
@@ -227,40 +220,31 @@ fn co_tenant_outputs_and_reports_survive_chaos_bit_for_bit() {
 fn crashed_plans_rebuild_and_succeed_on_resubmission() {
     let f = fault();
     for policy in policies() {
-        for locked in [false, true] {
-            let machine = unit_machine(8);
-            let mut srv: Serve<ParArray<i64>, ParArray<i64>> = Serve::new(
-                ServePolicy::new(machine.clone())
-                    .with_exec(policy)
-                    .with_locked_links(locked),
-            );
-            let t = srv.add_tenant("t");
+        let machine = unit_machine(8);
+        let mut srv: Serve<ParArray<i64>, ParArray<i64>> =
+            Serve::new(ServePolicy::new(machine.clone()).with_exec(policy));
+        let t = srv.add_tenant("t");
 
-            // crash it
-            let doomed = srv
-                .submit_keyed(t, "flaky", crashing_plan(f), hot_input(f, "stage", 3))
-                .unwrap();
-            srv.run_until_idle();
-            assert!(srv.outcome(doomed).unwrap().is_err());
+        // crash it
+        let doomed = srv
+            .submit_keyed(t, "flaky", crashing_plan(f), hot_input(f, "stage", 3))
+            .unwrap();
+        srv.run_until_idle();
+        assert!(srv.outcome(doomed).unwrap().is_err());
 
-            // resubmit with spared values: the graph rebuilds from the
-            // cached plan and the answer matches a solo run exactly
-            let clean = cold_input(f, "stage", 3);
-            let retry = srv
-                .submit_keyed(t, "flaky", crashing_plan(f), clean.clone())
-                .unwrap();
-            srv.run_until_idle();
-            let (out, report) = srv.outcome(retry).unwrap().expect("rebuilt and ran");
-            let mut scl = Scl::new(machine.clone()).with_policy(policy);
-            let expect = crashing_plan(f).run(&mut scl, clean);
-            assert_eq!(out, expect, "({policy:?}, locked={locked})");
-            assert_eq!(
-                report,
-                scl.machine.report(),
-                "({policy:?}, locked={locked})"
-            );
-            assert_eq!(srv.stats().rebuilds, 1, "one teardown, one rebuild");
-        }
+        // resubmit with spared values: the graph rebuilds from the
+        // cached plan and the answer matches a solo run exactly
+        let clean = cold_input(f, "stage", 3);
+        let retry = srv
+            .submit_keyed(t, "flaky", crashing_plan(f), clean.clone())
+            .unwrap();
+        srv.run_until_idle();
+        let (out, report) = srv.outcome(retry).unwrap().expect("rebuilt and ran");
+        let mut scl = Scl::new(machine.clone()).with_policy(policy);
+        let expect = crashing_plan(f).run(&mut scl, clean);
+        assert_eq!(out, expect, "({policy:?})");
+        assert_eq!(report, scl.machine.report(), "({policy:?})");
+        assert_eq!(srv.stats().rebuilds, 1, "one teardown, one rebuild");
     }
 }
 
